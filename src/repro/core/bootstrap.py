@@ -15,12 +15,16 @@ more robust acquisition score.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.learning.gbt import GradientBoostedTrees
+from repro.learning.gbt import (
+    GradientBoostedTrees,
+    LockstepPlan,
+    fit_lockstep,
+    lockstep_key,
+)
 from repro.learning.tree import apply_bins, bin_features
 from repro.obs.hooks import notify_refit, refit_hooks_active
 from repro.utils.rng import SeedLike, as_generator
@@ -50,24 +54,6 @@ class _DefaultModelFactory:
         )
 
 
-def _default_model_factory(rng: np.random.Generator) -> ModelFactory:
-    return _DefaultModelFactory(rng)
-
-
-def _fit_member(
-    payload: Tuple[
-        GradientBoostedTrees, int, np.ndarray, np.ndarray, Optional[list]
-    ],
-) -> GradientBoostedTrees:
-    """Worker-side fit of one ensemble member (parallel ``fit_jobs`` path)."""
-    model, seed, X, y, edges = payload
-    model.reseed(seed)
-    if edges is not None and getattr(model, "method", None) == "hist":
-        model.bin_edges = edges
-    model.fit(X, y)
-    return model
-
-
 class BootstrapEnsemble:
     """``Gamma`` evaluation functions fit on bootstrap resamples.
 
@@ -75,18 +61,18 @@ class BootstrapEnsemble:
     functions" (Sec. IV); pass any ``model_factory`` returning an object
     with ``fit(X, y)`` and ``predict(X)`` to swap the learner.
 
-    Two opt-in hot-path accelerations (both default off because they
-    perturb either the arithmetic or the RNG stream relative to the
-    historical — golden-trace-pinned — behaviour):
+    Members that :func:`~repro.learning.gbt.lockstep_key` accepts (the
+    default factory's) boost in lockstep, one tree of each per grower
+    call, bit-identical to fitting them one after another; any other
+    member is fit on its own, in turn.
+
+    Opt-in hot-path accelerations (default off because they perturb the
+    arithmetic or the RNG stream relative to the historical —
+    golden-trace-pinned — behaviour):
 
     * ``share_bin_edges`` — quantile-bin the *full* measured matrix once
       per :meth:`fit` and hand the edges to every histogram-tree member,
       instead of each member re-deriving quantiles from its resample.
-    * ``fit_jobs`` — fan the Gamma member fits out over a process pool
-      (the PR-1 executor-pool pattern).  Resample rows and per-member
-      seeds are drawn serially first, so the parallel fit is
-      deterministic in itself, but its RNG consumption differs from the
-      serial interleaving.
     * ``refit="incremental"`` — warm-started refits: after the first
       full fit, each subsequent :meth:`fit` draws a fresh bootstrap
       resample per member and grows only ``incremental_rounds`` new
@@ -107,7 +93,6 @@ class BootstrapEnsemble:
         model_factory: Optional[ModelFactory] = None,
         seed: SeedLike = None,
         share_bin_edges: bool = False,
-        fit_jobs: Optional[int] = None,
         refit: str = "full",
         incremental_rounds: int = 8,
         max_trees: int = 96,
@@ -115,21 +100,14 @@ class BootstrapEnsemble:
     ):
         if gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if fit_jobs is not None and fit_jobs < 1:
-            raise ValueError("fit_jobs must be >= 1")
         if refit not in ("full", "incremental"):
             raise ValueError("refit must be 'full' or 'incremental'")
         if incremental_rounds < 1:
             raise ValueError("incremental_rounds must be >= 1")
         if max_trees < 1:
             raise ValueError("max_trees must be >= 1")
-        if refit == "incremental" and fit_jobs is not None and fit_jobs > 1:
-            raise ValueError(
-                "refit='incremental' is not supported with parallel fit_jobs"
-            )
         self.gamma = gamma
         self.share_bin_edges = share_bin_edges
-        self.fit_jobs = fit_jobs
         self.refit = refit
         self.incremental_rounds = incremental_rounds
         self.max_trees = max_trees
@@ -142,7 +120,7 @@ class BootstrapEnsemble:
         self._factory = (
             model_factory
             if model_factory is not None
-            else _default_model_factory(self._rng)
+            else _DefaultModelFactory(self._rng)
         )
         self._models: List[GradientBoostedTrees] = []
         #: trees carried over (not refit) across all incremental refits
@@ -198,17 +176,11 @@ class BootstrapEnsemble:
                     n, time.perf_counter() - start, "ensemble_incremental"
                 )
             return self
-        if self.fit_jobs is not None and self.fit_jobs > 1 and self.gamma > 1:
-            if sample_weight is not None:
-                raise ValueError(
-                    "sample_weight is not supported with parallel fit_jobs"
-                )
-            self._fit_parallel(X, y)
-            if timed:
-                notify_refit(n, time.perf_counter() - start, "ensemble")
-            return self
         self._models = []
         shared_edges: Optional[list] = None
+        # members boosted together below; planning one draws its RNG
+        # where its own fit would have, before the next member's rows
+        batch: List[LockstepPlan] = []
         for _ in range(self.gamma):
             rows = self._rng.integers(0, n, size=n)
             model = self._factory()
@@ -217,11 +189,19 @@ class BootstrapEnsemble:
                     shared_edges = self._shared_edges(model, X)
                 if shared_edges is not None:
                     model.bin_edges = shared_edges
-            if sample_weight is None:
+            weight = None if sample_weight is None else sample_weight[rows]
+            key = lockstep_key(model)
+            if key is not None and (
+                not batch or key == lockstep_key(batch[0].model)
+            ):
+                batch.append(model.lockstep_plan(X[rows], y[rows], weight))
+            elif weight is None:
                 model.fit(X[rows], y[rows])
             else:
-                model.fit(X[rows], y[rows], sample_weight=sample_weight[rows])
+                model.fit(X[rows], y[rows], sample_weight=weight)
             self._models.append(model)
+        if batch:
+            fit_lockstep(batch)
         if timed:
             notify_refit(n, time.perf_counter() - start, "ensemble")
         return self
@@ -259,29 +239,6 @@ class BootstrapEnsemble:
                     self.incremental_rounds,
                     sample_weight=sample_weight[rows],
                 )
-
-    def _fit_parallel(self, X: np.ndarray, y: np.ndarray) -> "BootstrapEnsemble":
-        """Fan the Gamma member fits out over a process pool.
-
-        Deterministic given the ensemble seed (resample rows and member
-        seeds are drawn serially up front), but *not* RNG-stream
-        identical to the serial path — opt-in only.
-        """
-        n = len(y)
-        rows_per_member = [
-            self._rng.integers(0, n, size=n) for _ in range(self.gamma)
-        ]
-        seeds = [int(self._rng.integers(0, 2**62)) for _ in range(self.gamma)]
-        models = [self._factory() for _ in range(self.gamma)]
-        shared_edges = self._shared_edges(models[0], X)
-        payloads = [
-            (model, seed, X[rows], y[rows], shared_edges)
-            for model, seed, rows in zip(models, seeds, rows_per_member)
-        ]
-        jobs = min(self.fit_jobs or 1, self.gamma)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            self._models = list(pool.map(_fit_member, payloads))
-        return self
 
     def _common_edges(self) -> Optional[list]:
         """The bin-edge list shared by *all* members, else ``None``.

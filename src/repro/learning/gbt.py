@@ -18,7 +18,7 @@ Two tree back-ends are available:
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,12 +28,26 @@ from repro.learning.tree import (
     apply_bins,
     bin_features,
     predict_stacked,
+    sample_weights,
     stack_trees,
 )
 from repro.obs.hooks import notify_refit_reuse, refit_reuse_hooks_active
 from repro.utils.rng import SeedLike, as_generator
 
 _Tree = Union[RegressionTree, BinnedRegressionTree]
+
+
+def _fit_inputs(
+    X: np.ndarray, y: np.ndarray, sample_weight: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked float ``(X, y, weight)`` for a boosted fit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError("X must be (n, d) and y (n,)")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    return X, y, sample_weights(sample_weight, y)
 
 
 class GradientBoostedTrees:
@@ -90,10 +104,6 @@ class GradientBoostedTrees:
         self._fitted = False
         self._stack = None  # lazy StackedTrees cache for vectorized predict
 
-    def reseed(self, seed: SeedLike) -> None:
-        """Replace the internal RNG (used by parallel ensemble fits)."""
-        self._rng = as_generator(seed)
-
     def __getstate__(self):
         # the stacked-predict cache is derivable; keep checkpoints lean
         state = self.__dict__.copy()
@@ -116,6 +126,44 @@ class GradientBoostedTrees:
             seed=self._rng,
         )
 
+    def _round_rows(self, n: int) -> np.ndarray:
+        """One boosting round's subsample of ``n`` training rows."""
+        if self.subsample < 1.0 and n > 4:
+            n_sub = max(2, int(round(self.subsample * n)))
+            return self._rng.choice(n, size=n_sub, replace=False)
+        return np.arange(n)
+
+    def _bin(self, X: np.ndarray) -> np.ndarray:
+        """The trees' input for ``X``: bin codes (``"hist"``) or ``X``."""
+        if self.method != "hist":
+            self._edges = None
+            return X
+        if self.bin_edges is not None:
+            self._edges = self.bin_edges
+            return apply_bins(X, self._edges)
+        codes, self._edges = bin_features(X, n_bins=self.n_bins)
+        return codes
+
+    def lockstep_plan(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        sample_weight: Optional[np.ndarray] = None,
+    ) -> "LockstepPlan":
+        """Check and bin the data and draw every round's subsample now.
+
+        The draws are exactly those a lone :meth:`fit` would make, in
+        the same order, so planning several models one after another
+        leaves a shared generator where fitting them in turn would.
+        Only for models with a :func:`lockstep_key`.
+        """
+        X, y, weight = _fit_inputs(X, y, sample_weight)
+        codes = self._bin(X)
+        rows = np.stack(
+            [self._round_rows(len(y)) for _ in range(self.n_estimators)]
+        )
+        return LockstepPlan(self, codes, y, weight, rows)
+
     def fit(
         self,
         X: np.ndarray,
@@ -123,80 +171,60 @@ class GradientBoostedTrees:
         sample_weight: Optional[np.ndarray] = None,
     ) -> "GradientBoostedTrees":
         """Fit the ensemble; returns ``self``."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("X must be (n, d) and y (n,)")
+        if lockstep_key(self) is not None:
+            fit_lockstep([self.lockstep_plan(X, y, sample_weight)])
+            return self
+        X, y, weight = _fit_inputs(X, y, sample_weight)
         n = X.shape[0]
-        if n == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if sample_weight is None:
-            weight = np.ones(n)
-        else:
-            weight = np.asarray(sample_weight, dtype=np.float64)
-            if weight.shape != y.shape:
-                raise ValueError("sample_weight must match y")
-
-        if self.method == "hist":
-            if self.bin_edges is not None:
-                self._edges = self.bin_edges
-                codes = apply_bins(X, self._edges)
-            else:
-                codes, self._edges = bin_features(X, n_bins=self.n_bins)
-            data: np.ndarray = codes
-        else:
-            self._edges = None
-            data = X
-
-        use_validation = self.early_stopping_rounds is not None and n >= 20
-        if use_validation:
+        data = self._bin(X)
+        train, val = np.arange(n), None
+        if self.early_stopping_rounds is not None and n >= 20:
             perm = self._rng.permutation(n)
             n_val = max(1, int(round(self.validation_fraction * n)))
-            val_idx = perm[:n_val]
-            train_idx = perm[n_val:]
-        else:
-            train_idx = np.arange(n)
-            val_idx = np.empty(0, dtype=np.int64)
-
-        Dt, yt, wt = data[train_idx], y[train_idx], weight[train_idx]
-        Dv, yv = data[val_idx], y[val_idx]
-
+            train = perm[n_val:]
+            val = (data[perm[:n_val]], y[perm[:n_val]])
+        yt, wt = y[train], weight[train]
         self._base = float(np.dot(wt, yt) / wt.sum())
         self._trees = []
-        pred_t = np.full(len(yt), self._base)
-        pred_v = np.full(len(yv), self._base)
-
-        best_val = np.inf
-        best_len = 0
-        rounds_since_best = 0
-
-        for _ in range(self.n_estimators):
-            residual = yt - pred_t
-            if self.subsample < 1.0 and len(yt) > 4:
-                n_sub = max(2, int(round(self.subsample * len(yt))))
-                rows = self._rng.choice(len(yt), size=n_sub, replace=False)
-            else:
-                rows = np.arange(len(yt))
-            tree = self._new_tree()
-            tree.fit(Dt[rows], residual[rows], sample_weight=wt[rows])
-            self._trees.append(tree)
-            pred_t += self.learning_rate * tree.predict(Dt)
-
-            if use_validation:
-                pred_v += self.learning_rate * tree.predict(Dv)
-                val_err = float(np.mean((yv - pred_v) ** 2))
-                if val_err < best_val - 1e-12:
-                    best_val = val_err
-                    best_len = len(self._trees)
-                    rounds_since_best = 0
-                else:
-                    rounds_since_best += 1
-                    if rounds_since_best >= self.early_stopping_rounds:
-                        self._trees = self._trees[:best_len]
-                        break
+        pred = np.full(len(yt), self._base)
+        self._boost(data[train], yt, wt, pred, self.n_estimators, val)
         self._fitted = True
         self._stack = None
         return self
+
+    def _boost(
+        self,
+        data: np.ndarray,
+        y: np.ndarray,
+        weight: np.ndarray,
+        pred: np.ndarray,
+        rounds: int,
+        val: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
+        """Grow ``rounds`` trees one at a time on the residual of ``pred``
+        (updated in place), stopping early on a ``val`` split if given."""
+        if val is not None:
+            pred_v = np.full(len(val[1]), self._base)
+            best_val, best_len, rounds_since_best = np.inf, 0, 0
+        for _ in range(rounds):
+            residual = y - pred
+            rows = self._round_rows(len(y))
+            tree = self._new_tree()
+            tree.fit(data[rows], residual[rows], sample_weight=weight[rows])
+            self._trees.append(tree)
+            pred += self.learning_rate * tree.predict(data)
+            if val is None:
+                continue
+            pred_v += self.learning_rate * tree.predict(val[0])
+            val_err = float(np.mean((val[1] - pred_v) ** 2))
+            if val_err < best_val - 1e-12:
+                best_val, best_len = val_err, len(self._trees)
+                rounds_since_best = 0
+            else:
+                rounds_since_best += 1
+                if rounds_since_best >= self.early_stopping_rounds:
+                    self._trees = self._trees[:best_len]
+                    break
 
     def fit_more(
         self,
@@ -217,19 +245,8 @@ class GradientBoostedTrees:
             raise RuntimeError("fit_more requires a fitted model")
         if n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("X must be (n, d) and y (n,)")
+        X, y, weight = _fit_inputs(X, y, sample_weight)
         n = X.shape[0]
-        if n == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if sample_weight is None:
-            weight = np.ones(n)
-        else:
-            weight = np.asarray(sample_weight, dtype=np.float64)
-            if weight.shape != y.shape:
-                raise ValueError("sample_weight must match y")
 
         if self.method == "hist":
             assert self._edges is not None
@@ -238,18 +255,7 @@ class GradientBoostedTrees:
             data = X
 
         reused = len(self._trees)
-        pred_t = self._accumulate(data, n)
-        for _ in range(n_rounds):
-            residual = y - pred_t
-            if self.subsample < 1.0 and n > 4:
-                n_sub = max(2, int(round(self.subsample * n)))
-                rows = self._rng.choice(n, size=n_sub, replace=False)
-            else:
-                rows = np.arange(n)
-            tree = self._new_tree()
-            tree.fit(data[rows], residual[rows], sample_weight=weight[rows])
-            self._trees.append(tree)
-            pred_t += self.learning_rate * tree.predict(data)
+        self._boost(data, y, weight, self._accumulate(data, n), n_rounds)
         self._stack = None
         if refit_reuse_hooks_active():
             notify_refit_reuse(reused)
@@ -306,3 +312,68 @@ class GradientBoostedTrees:
     @property
     def n_trees(self) -> int:
         return len(self._trees)
+
+
+class LockstepPlan(NamedTuple):
+    """One model's boosting inputs, ready for :func:`fit_lockstep`."""
+
+    model: GradientBoostedTrees
+    codes: np.ndarray  # (n, d) bin codes
+    y: np.ndarray
+    weight: np.ndarray
+    rows: np.ndarray  # (n_estimators, n_sub) subsample rows per round
+
+
+def lockstep_key(model: object) -> Optional[tuple]:
+    """Settings that models boosted in lockstep must share, else ``None``.
+
+    Only histogram GBTs without early stopping qualify: exact trees draw
+    RNG per node, and early stopping draws a data-dependent number.
+    """
+    if (
+        not isinstance(model, GradientBoostedTrees)
+        or model.method != "hist"
+        or model.early_stopping_rounds is not None
+    ):
+        return None
+    return (
+        model.n_estimators,
+        model.learning_rate,
+        model.max_depth,
+        model.min_samples_leaf,
+        model.n_bins,
+    )
+
+
+def fit_lockstep(plans: Sequence[LockstepPlan]) -> None:
+    """Boost every planned model at once, bit-identical to one at a time.
+
+    All plans share a :func:`lockstep_key` and a row count.  Each round
+    makes one :meth:`BinnedRegressionTree.fit` call that grows every
+    model's next tree on its own rows and routes all rows, so the
+    residual update needs no separate predict.
+    """
+    lead = plans[0].model
+    n = len(plans[0].y)
+    codes = np.concatenate([plan.codes for plan in plans])
+    y = np.concatenate([plan.y for plan in plans])
+    weight = np.concatenate([plan.weight for plan in plans])
+    rows = np.concatenate(
+        [plan.rows + k * n for k, plan in enumerate(plans)], axis=1
+    )
+    for model, _, y_m, w_m, _ in plans:
+        model._base = float(np.dot(w_m, y_m) / w_m.sum())
+        model._trees = []
+    pred = np.repeat([plan.model._base for plan in plans], n)
+    leaf = np.empty(len(y))
+    for round_rows in rows:
+        trees = [plan.model._new_tree() for plan in plans]
+        trees[0].fit(
+            codes, y - pred, weight, rows=round_rows, peers=trees[1:], out=leaf
+        )
+        pred += lead.learning_rate * leaf
+        for plan, tree in zip(plans, trees):
+            plan.model._trees.append(tree)
+    for plan in plans:
+        plan.model._fitted = True
+        plan.model._stack = None

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.learning.tree import sample_weights
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -95,12 +96,7 @@ class MlpRegressor:
         n, d = X.shape
         if n == 0:
             raise ValueError("cannot fit on an empty dataset")
-        if sample_weight is None:
-            w = np.ones(n)
-        else:
-            w = np.asarray(sample_weight, dtype=np.float64)
-            if w.shape != y.shape:
-                raise ValueError("sample_weight must match y")
+        w = sample_weights(sample_weight, y)
         w = w / w.mean()
 
         self._x_mean = X.mean(axis=0)

@@ -9,11 +9,48 @@ with prefix sums, giving O(d · n log n) per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
+
+
+def sample_weights(
+    sample_weight: Optional[np.ndarray], y: np.ndarray
+) -> np.ndarray:
+    """Per-row fit weights: ones by default, else checked ``sample_weight``.
+
+    Rejects a shape that does not match ``y``, negative weights and a
+    total that is not positive (all-zero weights would make every node
+    value 0/0).
+    """
+    if sample_weight is None:
+        return np.ones(len(y))
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != y.shape or np.any(w < 0) or not w.sum() > 0:
+        raise ValueError("invalid sample weights")
+    return w
+
+
+def _route(tree, data: np.ndarray) -> np.ndarray:
+    """Each row's leaf value in a fitted tree's flat node arrays.
+
+    Every pass advances each row still at an internal node one level,
+    so the cost is O(depth * n) array ops with no per-node Python loop.
+    """
+    active = np.zeros(data.shape[0], dtype=np.int64)  # current node per row
+    rows = np.arange(data.shape[0])
+    for _ in range(tree.max_depth + 1):
+        feats = tree._feature[active]
+        internal = feats >= 0
+        if not internal.any():
+            break
+        sub = rows[internal]
+        act = active[internal]
+        go_left = data[sub, feats[internal]] <= tree._threshold[act]
+        active[sub] = np.where(go_left, tree._left[act], tree._right[act])
+    return tree._value[active]
 
 
 @dataclass
@@ -83,12 +120,7 @@ class RegressionTree:
             raise ValueError("y must be 1-D and match X rows")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
-        if sample_weight is None:
-            w = np.ones(X.shape[0])
-        else:
-            w = np.asarray(sample_weight, dtype=np.float64)
-            if w.shape != y.shape or np.any(w < 0) or w.sum() <= 0:
-                raise ValueError("invalid sample weights")
+        w = sample_weights(sample_weight, y)
 
         self._nodes = []
         self._build(X, y, w, np.arange(X.shape[0]), depth=0)
@@ -216,11 +248,8 @@ class RegressionTree:
     # ------------------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict targets for rows of ``X``.
+        """Predict targets for rows of ``X`` (vectorized per level).
 
-        Depth-bounded vectorized traversal over the flat node arrays:
-        each pass advances every not-yet-settled row one level, so the
-        cost is O(depth * n) array ops with no per-node Python loop.
         Bit-identical to :meth:`predict_reference`.
         """
         if not self._nodes:
@@ -228,21 +257,7 @@ class RegressionTree:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
-        assert self._feature is not None
-        active = np.zeros(X.shape[0], dtype=np.int64)  # current node per row
-        rows = np.arange(X.shape[0])
-        for _ in range(self.max_depth + 1):
-            feats = self._feature[active]
-            internal = feats >= 0
-            if not internal.any():
-                break
-            sub = rows[internal]
-            act = active[internal]
-            go_left = X[sub, feats[internal]] <= self._threshold[act]
-            active[sub] = np.where(
-                go_left, self._left[act], self._right[act]
-            )
-        return self._value[active]
+        return _route(self, X)
 
     def predict_reference(self, X: np.ndarray) -> np.ndarray:
         """Reference predict: the original per-node routing loop.
@@ -302,8 +317,8 @@ class BinnedRegressionTree:
 
     Works on feature *codes* in ``[0, n_bins)`` (see
     :func:`bin_features`) and grows **level-wise**: one flattened
-    ``bincount`` per level accumulates the (node, feature, bin)
-    weight/target histograms for every frontier node at once, and prefix
+    ``bincount`` per level accumulates the (node, feature, bin) histograms
+    for every frontier node of every tree in the call, and prefix
     sums yield all candidate splits' SSE gains simultaneously.  This is
     the LightGBM-style strategy that makes boosted ensembles fast enough
     for a per-iteration refit inside BAO.
@@ -336,8 +351,21 @@ class BinnedRegressionTree:
         codes: np.ndarray,
         y: np.ndarray,
         sample_weight: Optional[np.ndarray] = None,
+        *,
+        rows: Optional[np.ndarray] = None,
+        peers: Sequence["BinnedRegressionTree"] = (),
+        out: Optional[np.ndarray] = None,
     ) -> "BinnedRegressionTree":
-        """Fit on integer feature codes; returns ``self``."""
+        """Fit on integer feature codes; returns ``self``.
+
+        One call grows several independent trees at once: ``peers`` are
+        more unfitted trees with these settings, and the rows split
+        evenly, in order, between ``self`` and each peer.  Only ``rows``
+        (default: all) enter the histograms, so each tree equals a lone
+        fit on its own rows in that order: every (tree, feature, bin)
+        sum adds the same values in the same order.  ``out`` receives
+        every row's leaf value (the tree's prediction for it).
+        """
         codes = np.asarray(codes)
         y = np.asarray(y, dtype=np.float64)
         if codes.ndim != 2 or y.shape != (codes.shape[0],):
@@ -347,140 +375,102 @@ class BinnedRegressionTree:
             raise ValueError("cannot fit on an empty dataset")
         if codes.min(initial=0) < 0 or codes.max(initial=0) >= self.n_bins:
             raise ValueError(f"codes must lie in [0, {self.n_bins})")
-        w = (
-            np.ones(n)
-            if sample_weight is None
-            else np.asarray(sample_weight, dtype=np.float64)
-        )
-        if w.shape != y.shape:
-            raise ValueError("sample_weight must match y")
+        w = sample_weights(sample_weight, y)
+        trees = (self, *peers)
+        if n % len(trees):
+            raise ValueError("rows must split evenly between the trees")
+        if rows is None:
+            rows = np.arange(n)
 
         nb = self.n_bins
+        dnb = d * nb
         codes = codes.astype(np.int64, copy=False)
-        feat_offsets = np.arange(d, dtype=np.int64) * nb
-        flat = codes + feat_offsets[None, :]
-        wy = w * y
+        # (feature, bin) column of every training row, and its three
+        # statistics (wy, w, count), each block in row-major order
+        flat = (codes[rows] + np.arange(0, dnb, nb)).ravel()
+        w_r = w[rows]
+        stats = np.concatenate((
+            np.repeat(w_r * y[rows], d), np.repeat(w_r, d), np.ones(flat.size)
+        ))
 
-        # growable node arrays
-        feature = [-1]
-        threshold = [0.0]
-        left = [-1]
-        right = [-1]
-        value = [0.0]
-
-        node_of_row = np.zeros(n, dtype=np.int64)
-        frontier = [0]
+        # node arrays; a leaf is its own child with an infinite threshold,
+        # so routing leaves every row of a finished node where it is
+        cap = min(len(trees) * ((1 << (self.max_depth + 1)) - 1),
+                  len(trees) + 2 * len(rows))
+        feature = np.zeros(cap, dtype=np.int64)
+        threshold = np.full(cap, np.inf)
+        child = np.arange(cap)  # left child; the right one is child + 1
+        value = np.zeros(cap)
+        tree_of = np.arange(cap)  # tree k's root is node k
+        node = np.arange(n) // (n // len(trees))  # each row at its root
+        every_row = np.arange(n)
+        lo, hi = 0, len(trees)  # the frontier is nodes [lo, hi)
 
         for depth in range(self.max_depth + 1):
-            if not frontier:
-                break
-            n_slots = len(frontier)
-            slot_map = np.full(len(feature), -1, dtype=np.int64)
-            slot_map[np.asarray(frontier)] = np.arange(n_slots)
-            slot_of_row = slot_map[node_of_row]
-            rows = np.nonzero(slot_of_row >= 0)[0]
-            if len(rows) == 0:
-                break
-            slot_r = slot_of_row[rows]
-
-            combined = slot_r[:, None] * (d * nb) + flat[rows]
-            size = n_slots * d * nb
-            rep_wy = np.repeat(wy[rows], d)
-            rep_w = np.repeat(w[rows], d)
-            cflat = combined.ravel()
-            hist_wy = np.bincount(cflat, weights=rep_wy, minlength=size)
-            hist_w = np.bincount(cflat, weights=rep_w, minlength=size)
-            hist_n = np.bincount(cflat, minlength=size)
-            hist_wy = hist_wy.reshape(n_slots, d, nb)
-            hist_w = hist_w.reshape(n_slots, d, nb)
-            hist_n = hist_n.reshape(n_slots, d, nb)
-
-            total_wy = hist_wy[:, 0, :].sum(axis=1)
-            total_w = hist_w[:, 0, :].sum(axis=1)
-            total_n = hist_n[:, 0, :].sum(axis=1)
-
-            # node values (weighted means) for every frontier node
-            for s, node_id in enumerate(frontier):
-                value[node_id] = float(total_wy[s] / total_w[s])
-
+            n_slots = hi - lo
+            # slot 0 is a dump for rows of finished nodes, sliced off
+            slot = np.maximum(node[rows] - (lo - 1), 0)
+            size = (n_slots + 1) * dnb
+            index = np.repeat(slot * dnb, d) + flat
+            hist = np.bincount(
+                (index + size * np.arange(3)[:, None]).ravel(),
+                weights=stats,
+                minlength=3 * size,
+            ).reshape(3, n_slots + 1, d, nb)[:, 1:]
+            total = hist[:, :, 0, :].sum(axis=2)  # (stat, slot)
+            value[lo:hi] = total[0] / total[1]
             if depth >= self.max_depth:
                 break
 
-            cum_wy = hist_wy.cumsum(axis=2)[:, :, :-1]
-            cum_w = hist_w.cumsum(axis=2)[:, :, :-1]
-            cum_n = hist_n.cumsum(axis=2)[:, :, :-1]
-            right_wy = total_wy[:, None, None] - cum_wy
-            right_w = total_w[:, None, None] - cum_w
-            right_n = total_n[:, None, None] - cum_n
-
+            cum = hist.cumsum(axis=3)[..., :-1]
+            right = total[:, :, None, None] - cum
             valid = (
-                (cum_n >= self.min_samples_leaf)
-                & (right_n >= self.min_samples_leaf)
-                & (cum_w > 0)
-                & (right_w > 0)
+                (cum[2] >= self.min_samples_leaf)
+                & (right[2] >= self.min_samples_leaf)
+                & (cum[1] > 0)
+                & (right[1] > 0)
             )
             with np.errstate(divide="ignore", invalid="ignore"):
                 gains = (
-                    cum_wy * cum_wy / cum_w
-                    + right_wy * right_wy / right_w
-                    - (total_wy * total_wy / total_w)[:, None, None]
+                    cum[0] * cum[0] / cum[1]
+                    + right[0] * right[0] / right[1]
+                    - (total[0] * total[0] / total[1])[:, None, None]
                 )
-            gains = np.where(valid, gains, -np.inf)
-            flat_gains = gains.reshape(n_slots, d * (nb - 1))
-            best_pos = np.argmax(flat_gains, axis=1)
-            best_gain = flat_gains[np.arange(n_slots), best_pos]
-
-            split_mask = np.isfinite(best_gain) & (
+            gains = np.where(valid, gains, -np.inf).reshape(n_slots, -1)
+            best_pos = gains.argmax(axis=1)
+            best_gain = gains[np.arange(n_slots), best_pos]
+            split = np.isfinite(best_gain) & (
                 best_gain > self.min_impurity_decrease
             )
-            if not split_mask.any():
+            parents = np.nonzero(split)[0]
+            if parents.size == 0:
                 break
 
-            # register children for split slots
-            slot_feature = np.full(n_slots, -1, dtype=np.int64)
-            slot_threshold = np.zeros(n_slots)
-            slot_left = np.full(n_slots, -1, dtype=np.int64)
-            slot_right = np.full(n_slots, -1, dtype=np.int64)
-            new_frontier = []
-            for s, node_id in enumerate(frontier):
-                if not split_mask[s]:
-                    continue
-                f, t = divmod(int(best_pos[s]), nb - 1)
-                left_id = len(feature)
-                right_id = left_id + 1
-                feature.extend([-1, -1])
-                threshold.extend([0.0, 0.0])
-                left.extend([-1, -1])
-                right.extend([-1, -1])
-                value.extend([value[node_id], value[node_id]])
-                feature[node_id] = f
-                threshold[node_id] = float(t)
-                left[node_id] = left_id
-                right[node_id] = right_id
-                slot_feature[s] = f
-                slot_threshold[s] = t
-                slot_left[s] = left_id
-                slot_right[s] = right_id
-                new_frontier.extend([left_id, right_id])
-
-            # route rows of split slots to their children
-            routed = split_mask[slot_r]
-            r_rows = rows[routed]
-            r_slots = slot_r[routed]
-            go_left = (
-                codes[r_rows, slot_feature[r_slots]]
-                <= slot_threshold[r_slots]
+            parents += lo
+            feature[parents], threshold[parents] = np.divmod(
+                best_pos[parents - lo], nb - 1
             )
-            node_of_row[r_rows] = np.where(
-                go_left, slot_left[r_slots], slot_right[r_slots]
+            child[parents] = hi + 2 * np.arange(parents.size)
+            lo, hi = hi, hi + 2 * parents.size
+            tree_of[lo:hi] = np.repeat(tree_of[parents], 2)
+            # route every row one level down
+            node = child[node] + (
+                codes[every_row, feature[node]] > threshold[node]
             )
-            frontier = new_frontier
 
-        self._feature = np.asarray(feature, dtype=np.int64)
-        self._threshold = np.asarray(threshold)
-        self._left = np.asarray(left, dtype=np.int64)
-        self._right = np.asarray(right, dtype=np.int64)
-        self._value = np.asarray(value)
+        if out is not None:
+            out[:] = value[node]
+        # number each tree's nodes in allocation order, as a lone fit would
+        local = np.empty(hi, dtype=np.int64)
+        for k, tree in enumerate(trees):
+            ids = np.nonzero(tree_of[:hi] == k)[0]
+            local[ids] = np.arange(ids.size)
+            leaf = child[ids] == ids
+            tree._feature = np.where(leaf, -1, feature[ids])
+            tree._threshold = np.where(leaf, 0.0, threshold[ids])
+            tree._left = np.where(leaf, -1, local[child[ids]])
+            tree._right = np.where(leaf, -1, tree._left + 1)
+            tree._value = value[ids]
         return self
 
     def predict(self, codes: np.ndarray) -> np.ndarray:
@@ -490,20 +480,7 @@ class BinnedRegressionTree:
         codes = np.asarray(codes)
         if codes.ndim != 2:
             raise ValueError("codes must be 2-D")
-        active = np.zeros(codes.shape[0], dtype=np.int64)
-        rows = np.arange(codes.shape[0])
-        for _ in range(self.max_depth + 1):
-            feats = self._feature[active]
-            internal = feats >= 0
-            if not internal.any():
-                break
-            sub = rows[internal]
-            act = active[internal]
-            go_left = codes[sub, feats[internal]] <= self._threshold[act]
-            active[sub] = np.where(
-                go_left, self._left[act], self._right[act]
-            )
-        return self._value[active]
+        return _route(self, codes)
 
     @property
     def node_count(self) -> int:
@@ -610,15 +587,14 @@ def bin_features(
         raise ValueError("X must be 2-D")
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    edges: list[np.ndarray] = []
-    codes = np.empty(X.shape, dtype=np.int64)
-    quantiles = np.linspace(0, 1, n_bins + 1)[1:-1]
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        edge = np.unique(np.quantile(col, quantiles))
-        edges.append(edge)
-        codes[:, f] = np.searchsorted(edge, col, side="left")
-    return codes, edges
+    quantiles = np.quantile(X, np.linspace(0, 1, n_bins + 1)[1:-1], axis=0)
+    # quantiles rise down each column: dropping repeats leaves the
+    # column's unique edges, and a value's code is how many lie below it
+    keep = np.ones(quantiles.shape, dtype=bool)
+    keep[1:] = quantiles[1:] != quantiles[:-1]
+    below = np.where(keep, quantiles, np.inf)[None, :, :] < X[:, None, :]
+    edges = [quantiles[keep[:, f], f] for f in range(X.shape[1])]
+    return below.sum(axis=1), edges
 
 
 def apply_bins(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:

@@ -19,7 +19,12 @@ from repro.core.events import BatchMeasured, BatchProposed, EventLog
 from repro.core.ted import rbf_kernel, ted_select
 from repro.core.tuners.btedbao import BTEDBAOTuner
 from repro.hardware.measure import SimulatedTask
-from repro.learning.tree import RegressionTree
+from repro.learning.gbt import GradientBoostedTrees, lockstep_key
+from repro.learning.tree import (
+    BinnedRegressionTree,
+    RegressionTree,
+    bin_features,
+)
 from repro.nn.workloads import DenseWorkload
 from repro.space.space import FeatureCache
 from repro.utils.mathx import pairwise_sq_dists
@@ -256,14 +261,347 @@ class TestEnsembleAccelerationFlags:
         edges = [m._edges for m in ensemble._models]
         assert all(e is edges[0] for e in edges)
 
-    def test_parallel_fit_smoke(self):
-        X, y = self._data(n=30)
-        ensemble = BootstrapEnsemble(gamma=2, seed=1, fit_jobs=2)
-        ensemble.fit(X, y)
-        scores = ensemble.predict_sum(X)
-        assert scores.shape == (len(y),)
-        assert np.all(np.isfinite(scores))
 
-    def test_invalid_fit_jobs_rejected(self):
-        with pytest.raises(ValueError, match="fit_jobs"):
-            BootstrapEnsemble(gamma=2, fit_jobs=0)
+# ----------------------------------------------------------------------
+# reference implementations the lockstep grower and binning replaced
+
+
+def reference_binned_fit(tree, codes, y, w):
+    """The single-tree level-wise histogram fit, as it was before the
+    multi-root grower; returns (feature, threshold, left, right, value).
+    """
+    n, d = codes.shape
+    nb = tree.n_bins
+    codes = codes.astype(np.int64, copy=False)
+    flat = codes + (np.arange(d, dtype=np.int64) * nb)[None, :]
+    wy = w * y
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    node_of_row = np.zeros(n, dtype=np.int64)
+    frontier = [0]
+    for depth in range(tree.max_depth + 1):
+        if not frontier:
+            break
+        n_slots = len(frontier)
+        slot_map = np.full(len(feature), -1, dtype=np.int64)
+        slot_map[np.asarray(frontier)] = np.arange(n_slots)
+        slot_of_row = slot_map[node_of_row]
+        rows = np.nonzero(slot_of_row >= 0)[0]
+        if len(rows) == 0:
+            break
+        slot_r = slot_of_row[rows]
+        cflat = (slot_r[:, None] * (d * nb) + flat[rows]).ravel()
+        size = n_slots * d * nb
+        hist_wy = np.bincount(
+            cflat, weights=np.repeat(wy[rows], d), minlength=size
+        ).reshape(n_slots, d, nb)
+        hist_w = np.bincount(
+            cflat, weights=np.repeat(w[rows], d), minlength=size
+        ).reshape(n_slots, d, nb)
+        hist_n = np.bincount(cflat, minlength=size).reshape(n_slots, d, nb)
+        total_wy = hist_wy[:, 0, :].sum(axis=1)
+        total_w = hist_w[:, 0, :].sum(axis=1)
+        total_n = hist_n[:, 0, :].sum(axis=1)
+        for s, node_id in enumerate(frontier):
+            value[node_id] = float(total_wy[s] / total_w[s])
+        if depth >= tree.max_depth:
+            break
+        cum_wy = hist_wy.cumsum(axis=2)[:, :, :-1]
+        cum_w = hist_w.cumsum(axis=2)[:, :, :-1]
+        cum_n = hist_n.cumsum(axis=2)[:, :, :-1]
+        right_wy = total_wy[:, None, None] - cum_wy
+        right_w = total_w[:, None, None] - cum_w
+        right_n = total_n[:, None, None] - cum_n
+        valid = (
+            (cum_n >= tree.min_samples_leaf)
+            & (right_n >= tree.min_samples_leaf)
+            & (cum_w > 0)
+            & (right_w > 0)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = (
+                cum_wy * cum_wy / cum_w
+                + right_wy * right_wy / right_w
+                - (total_wy * total_wy / total_w)[:, None, None]
+            )
+        flat_gains = np.where(valid, gains, -np.inf).reshape(n_slots, -1)
+        best_pos = np.argmax(flat_gains, axis=1)
+        best_gain = flat_gains[np.arange(n_slots), best_pos]
+        split_mask = np.isfinite(best_gain) & (
+            best_gain > tree.min_impurity_decrease
+        )
+        if not split_mask.any():
+            break
+        slot_feature = np.full(n_slots, -1, dtype=np.int64)
+        slot_threshold = np.zeros(n_slots)
+        slot_left = np.full(n_slots, -1, dtype=np.int64)
+        slot_right = np.full(n_slots, -1, dtype=np.int64)
+        new_frontier = []
+        for s, node_id in enumerate(frontier):
+            if not split_mask[s]:
+                continue
+            f, t = divmod(int(best_pos[s]), nb - 1)
+            left_id = len(feature)
+            feature.extend([-1, -1])
+            threshold.extend([0.0, 0.0])
+            left.extend([-1, -1])
+            right.extend([-1, -1])
+            value.extend([value[node_id], value[node_id]])
+            feature[node_id], threshold[node_id] = f, float(t)
+            left[node_id], right[node_id] = left_id, left_id + 1
+            slot_feature[s], slot_threshold[s] = f, t
+            slot_left[s], slot_right[s] = left_id, left_id + 1
+            new_frontier.extend([left_id, left_id + 1])
+        routed = split_mask[slot_r]
+        r_rows, r_slots = rows[routed], slot_r[routed]
+        go_left = (
+            codes[r_rows, slot_feature[r_slots]] <= slot_threshold[r_slots]
+        )
+        node_of_row[r_rows] = np.where(
+            go_left, slot_left[r_slots], slot_right[r_slots]
+        )
+        frontier = new_frontier
+    return (
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.asarray(value),
+    )
+
+
+def reference_bin_features(X, n_bins):
+    """Per-column quantile binning, as it was before vectorizing."""
+    edges, codes = [], np.empty(X.shape, dtype=np.int64)
+    quantiles = np.linspace(0, 1, n_bins + 1)[1:-1]
+    for f in range(X.shape[1]):
+        edge = np.unique(np.quantile(X[:, f], quantiles))
+        edges.append(edge)
+        codes[:, f] = np.searchsorted(edge, X[:, f], side="left")
+    return codes, edges
+
+
+def reference_gbt_fit(model, X, y, w):
+    """Boost ``model`` (hist, no early stopping) round by round with the
+    reference tree fit and a separate predict, as GBT.fit used to."""
+    codes, edges = bin_features(X, n_bins=model.n_bins)
+    model._edges = edges
+    model._base = float(np.dot(w, y) / w.sum())
+    model._trees = []
+    pred = np.full(len(y), model._base)
+    for _ in range(model.n_estimators):
+        residual = y - pred
+        rows = model._round_rows(len(y))
+        tree = model._new_tree()
+        (tree._feature, tree._threshold, tree._left, tree._right,
+         tree._value) = reference_binned_fit(
+            tree, codes[rows], residual[rows], w[rows]
+        )
+        model._trees.append(tree)
+        pred += model.learning_rate * tree.predict(codes)
+    model._fitted = True
+    return model
+
+
+def _codes(rng, n, d, n_bins):
+    """Bin codes with ties, a constant column and a few used bins."""
+    codes = rng.integers(0, n_bins, size=(n, d))
+    if d > 1:
+        codes[:, -1] = rng.integers(0, n_bins)  # constant column
+    if d > 2:
+        codes[:, 1] = rng.integers(0, min(3, n_bins), size=n)
+    return codes
+
+
+class TestLockstepGrowerEquivalence:
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(1, 4),
+        n=st.integers(1, 60),
+        d=st.integers(1, 6),
+        n_bins=st.integers(2, 16),
+        max_depth=st.integers(1, 6),
+        min_leaf=st.integers(1, 5),
+        subsample=st.booleans(),
+        weighted=st.booleans(),
+    )
+    @PROPERTY
+    def test_grower_matches_single_tree_reference(
+        self, seed, k, n, d, n_bins, max_depth, min_leaf, subsample,
+        weighted,
+    ):
+        rng = np.random.default_rng(seed)
+        codes = _codes(rng, k * n, d, n_bins)
+        y = rng.normal(size=k * n)
+        w = rng.uniform(0.1, 3.0, size=k * n) if weighted else None
+        if subsample:
+            size = max(1, n - n // 3)
+            rows = np.concatenate(
+                [rng.choice(n, size=size, replace=False) + t * n
+                 for t in range(k)]
+            )
+        else:
+            rows = np.arange(k * n)
+        trees = [
+            BinnedRegressionTree(
+                n_bins=n_bins, max_depth=max_depth, min_samples_leaf=min_leaf
+            )
+            for _ in range(k)
+        ]
+        out = np.empty(k * n)
+        trees[0].fit(codes, y, w, rows=rows, peers=trees[1:], out=out)
+        weight = np.ones(k * n) if w is None else w
+        for t, tree in enumerate(trees):
+            mine = rows[(rows >= t * n) & (rows < (t + 1) * n)]
+            ref = reference_binned_fit(
+                tree, codes[mine], y[mine], weight[mine]
+            )
+            got = (tree._feature, tree._threshold, tree._left, tree._right,
+                   tree._value)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            block = slice(t * n, (t + 1) * n)
+            assert np.array_equal(out[block], tree.predict(codes[block]))
+
+    def test_peers_must_split_rows_evenly(self):
+        trees = [BinnedRegressionTree(n_bins=4) for _ in range(2)]
+        with pytest.raises(ValueError, match="evenly"):
+            trees[0].fit(np.zeros((5, 2), int), np.ones(5), peers=trees[1:])
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 80))
+    @PROPERTY
+    def test_gbt_fit_matches_round_by_round_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, 4)), 1)
+        y = rng.normal(size=n)
+        w = rng.uniform(0.5, 2.0, size=n)
+        settings_ = dict(n_estimators=6, subsample=0.8, max_depth=3)
+        fast = GradientBoostedTrees(seed=seed, **settings_).fit(
+            X, y, sample_weight=w
+        )
+        ref = reference_gbt_fit(
+            GradientBoostedTrees(seed=seed, **settings_), X, y, w
+        )
+        assert np.array_equal(fast.predict(X), ref.predict(X))
+        assert fast._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+class TestBinFeaturesEquivalence:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 150),
+        d=st.integers(1, 12),
+        n_bins=st.integers(2, 40),
+        decimals=st.integers(0, 3),
+    )
+    @PROPERTY
+    def test_vectorized_matches_per_column(self, seed, n, d, n_bins,
+                                           decimals):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, d)), decimals)
+        X[:, 0] = 0.5  # constant column
+        codes, edges = bin_features(X, n_bins=n_bins)
+        ref_codes, ref_edges = reference_bin_features(X, n_bins)
+        assert codes.dtype == ref_codes.dtype
+        assert np.array_equal(codes, ref_codes)
+        assert len(edges) == len(ref_edges)
+        assert all(np.array_equal(a, b) for a, b in zip(edges, ref_edges))
+
+
+def _member_by_member(ensemble_seed, gamma, factory, X, y, w):
+    """Fit an ensemble's members one after another, as fit used to."""
+    rng = np.random.default_rng(ensemble_seed)
+    make = factory(rng)
+    n = len(y)
+    models = []
+    for _ in range(gamma):
+        rows = rng.integers(0, n, size=n)
+        model = make()
+        if w is None:
+            model.fit(X[rows], y[rows])
+        else:
+            model.fit(X[rows], y[rows], sample_weight=w[rows])
+        models.append(model)
+    total = np.zeros(n)
+    for model in models:
+        total += model.predict(X)
+    return total, rng.bit_generator.state
+
+
+def _default_members(rng):
+    return lambda: GradientBoostedTrees(
+        n_estimators=24, learning_rate=0.28, max_depth=4, subsample=0.9,
+        seed=rng,
+    )
+
+
+class TestLockstepEnsembleEquivalence:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 90),
+        gamma=st.integers(1, 4),
+        weighted=st.booleans(),
+    )
+    @PROPERTY
+    def test_fit_matches_member_by_member(self, seed, n, gamma, weighted):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, 5)), 1)
+        y = rng.normal(size=n)
+        w = rng.uniform(0.2, 1.0, size=n) if weighted else None
+        ensemble = BootstrapEnsemble(
+            gamma=gamma, seed=np.random.default_rng(seed + 1)
+        )
+        ensemble.fit(X, y, sample_weight=w)
+        ref_sum, ref_state = _member_by_member(
+            seed + 1, gamma, _default_members, X, y, w
+        )
+        assert np.array_equal(ensemble.predict_sum(X), ref_sum)
+        assert ensemble._rng.bit_generator.state == ref_state
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(early_stopping_rounds=3),
+            dict(method="exact", max_features=0.5),
+            dict(method="exact"),
+        ],
+    )
+    def test_other_members_fit_one_at_a_time(self, kwargs, monkeypatch):
+        def factory(rng):
+            return lambda: GradientBoostedTrees(
+                n_estimators=8, subsample=0.8, seed=rng, **kwargs
+            )
+
+        assert lockstep_key(factory(None)()) is None
+
+        def no_lockstep(plans):
+            raise AssertionError("fit_lockstep must not run")
+
+        monkeypatch.setattr("repro.core.bootstrap.fit_lockstep", no_lockstep)
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(40, 4)), rng.normal(size=40)
+        ens_rng = np.random.default_rng(9)
+        ensemble = BootstrapEnsemble(
+            gamma=3, seed=ens_rng, model_factory=factory(ens_rng)
+        ).fit(X, y)
+        ref_sum, ref_state = _member_by_member(9, 3, factory, X, y, None)
+        assert np.array_equal(ensemble.predict_sum(X), ref_sum)
+        assert ens_rng.bit_generator.state == ref_state
+
+    def test_mixed_members_keep_the_serial_draw_order(self):
+        def factory(rng):
+            count = iter(range(10))
+            return lambda: GradientBoostedTrees(
+                n_estimators=5, subsample=0.7, seed=rng,
+                method="exact" if next(count) == 1 else "hist",
+            )
+
+        rng = np.random.default_rng(2)
+        X, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+        ens_rng = np.random.default_rng(3)
+        ensemble = BootstrapEnsemble(
+            gamma=3, seed=ens_rng, model_factory=factory(ens_rng)
+        ).fit(X, y)
+        ref_sum, ref_state = _member_by_member(3, 3, factory, X, y, None)
+        assert np.array_equal(ensemble.predict_sum(X), ref_sum)
+        assert ens_rng.bit_generator.state == ref_state

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.learning.gbt import GradientBoostedTrees
+from repro.learning.tree import BinnedRegressionTree
 from repro.learning.metrics import rank_accuracy, rmse
 
 
@@ -122,6 +123,24 @@ class TestValidation:
             GradientBoostedTrees().fit(
                 np.ones((5, 2)), np.ones(5), sample_weight=np.ones(4)
             )
+
+    @pytest.mark.parametrize("method", ["hist", "exact"])
+    @pytest.mark.parametrize(
+        "weights", [np.zeros(30), -np.ones(30), np.full(30, np.nan)]
+    )
+    def test_invalid_sample_weights_rejected(self, method, weights):
+        X, y = friedman_like(30)
+        model = GradientBoostedTrees(n_estimators=3, method=method, seed=0)
+        with pytest.raises(ValueError, match="invalid sample weights"):
+            model.fit(X, y, sample_weight=weights)
+        model.fit(X, y)
+        with pytest.raises(ValueError, match="invalid sample weights"):
+            model.fit_more(X, y, 2, sample_weight=weights)
+
+    def test_invalid_sample_weights_rejected_by_binned_tree(self):
+        tree = BinnedRegressionTree(n_bins=4)
+        with pytest.raises(ValueError, match="invalid sample weights"):
+            tree.fit(np.zeros((6, 2), int), np.ones(6), np.zeros(6))
 
     def test_weights_downweight_outliers(self):
         rng = np.random.default_rng(0)
