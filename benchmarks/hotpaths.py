@@ -4,15 +4,15 @@
 Times the tuning loop's Python-side hot paths — tree prediction, TED /
 BTED selection, bootstrap-ensemble fit/predict, and a full BTED+BAO
 tuning step — against the preserved pre-optimization reference
-implementations (``RegressionTree.predict_reference``,
-``ted_select(method="exact")``), and writes the numbers to a JSON
+implementations kept in ``tests/oracles.py`` (the per-node tree
+routing loop and the exact TED loop), and writes the numbers to a JSON
 artifact (``BENCH_hotpaths.json`` at the repo root by default).
 
 Three gates are built in:
 
-* **speedup floor** — the vectorized tree predict and the incremental
-  TED path must each beat their reference by ``--min-speedup`` (3x by
-  default, the PR acceptance bar); disable with ``--no-assert``.
+* **speedup floor** — the vectorized tree predict and the certified
+  incremental TED path must each beat their reference by
+  ``--min-speedup`` (3x by default); disable with ``--no-assert``.
 * **regression check** — ``--check BASELINE.json`` compares each
   benchmark's ``wall_s`` against a committed baseline and fails when
   any hot path slowed down by more than ``--threshold`` (2x default).
@@ -30,8 +30,11 @@ import platform
 import sys
 import time
 
+from unittest import mock
+
 import numpy as np
 
+from repro.core import bted
 from repro.core.bao import BaoSettings
 from repro.core.bootstrap import BootstrapEnsemble
 from repro.core.bted import bted_select
@@ -44,6 +47,11 @@ from repro.nn.workloads import Conv2DWorkload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_hotpaths.json")
+sys.path.insert(0, REPO_ROOT)
+from tests.oracles import (  # noqa: E402
+    reference_ted_select,
+    reference_tree_predict,
+)
 
 
 def _best_of(fn, repeats):
@@ -76,7 +84,9 @@ def bench_tree_predict(repeats, scale):
     tree = RegressionTree(max_depth=8, min_samples_leaf=2, seed=0).fit(X, y)
 
     fast_s, fast = _best_of(lambda: tree.predict(X_test), repeats)
-    ref_s, ref = _best_of(lambda: tree.predict_reference(X_test), repeats)
+    ref_s, ref = _best_of(
+        lambda: reference_tree_predict(tree, X_test), repeats
+    )
     assert np.array_equal(fast, ref), "vectorized predict diverged"
     return {
         "wall_s": fast_s,
@@ -102,17 +112,17 @@ def bench_binned_predict(repeats, scale):
 
 
 def bench_ted(repeats, scale):
-    """Incremental TED (``method='fast'``) vs the exact reference loop."""
+    """Certified incremental TED vs the exact reference loop."""
     rng = np.random.default_rng(2)
     n = int(1600 * scale)
     features = rng.random((max(n, 64), 12))
     m = 64
 
     fast_s, fast = _best_of(
-        lambda: ted_select(features, m=m, mu=0.1, method="fast"), repeats
+        lambda: ted_select(features, m=m, mu=0.1), repeats
     )
     ref_s, ref = _best_of(
-        lambda: ted_select(features, m=m, mu=0.1, method="exact"), repeats
+        lambda: reference_ted_select(features, m=m, mu=0.1), repeats
     )
     return {
         "wall_s": fast_s,
@@ -125,18 +135,17 @@ def bench_ted(repeats, scale):
 
 
 def bench_bted(repeats, scale):
-    """Full BTED (Alg. 2) over a real config space, both TED back-ends."""
+    """Full BTED (Alg. 2) over a real config space vs the exact TED loop."""
     space = _task().space
     kwargs = dict(
         m=32, batch_candidates=max(int(200 * scale), 48), num_batches=4,
         seed=7,
     )
-    fast_s, fast = _best_of(
-        lambda: bted_select(space, ted_method="fast", **kwargs), repeats
-    )
-    exact_s, exact = _best_of(
-        lambda: bted_select(space, ted_method="exact", **kwargs), repeats
-    )
+    fast_s, fast = _best_of(lambda: bted_select(space, **kwargs), repeats)
+    with mock.patch.object(bted, "ted_select", reference_ted_select):
+        exact_s, exact = _best_of(
+            lambda: bted_select(space, **kwargs), repeats
+        )
     return {
         "wall_s": fast_s,
         "reference_s": exact_s,

@@ -18,33 +18,33 @@ Yu, Bi & Tresp (ICML'06) that the paper cites — we use an RBF kernel
 median pairwise distance (a standard self-tuning choice).  This keeps
 the algorithm parameter-free apart from ``mu``.
 
-Two selection back-ends are available:
-
-* ``method="exact"`` (default) — the reference greedy loop, which
-  recomputes column norms with a full ``einsum`` over ``K`` and applies
-  the rank-1 deflation in place.  This is the pre-optimization
-  implementation, kept byte-for-byte so golden traces stay pinned.
-* ``method="fast"`` — an incremental variant that never rewrites ``K``:
-  deflation vectors are accumulated in a matrix ``V`` (so the deflated
-  kernel is implicitly ``K - V V^T``) and column norms/diagonal are
-  maintained by rank-1 updates.  Per pick this costs one BLAS
-  matrix-vector product instead of an ``einsum`` pass *plus* an
-  ``outer``-product allocation *plus* a full ``K`` rewrite.  The
-  arithmetic is algebraically identical but floating-point
-  reassociation can, in principle, flip near-tied argmax picks, so the
-  fast path is opt-in; equivalence is covered by property tests.
+The greedy loop never rewrites ``K``.  The deflated kernel is kept
+implicitly as ``K - V V^T`` and the score numerators (squared column
+norms ``cn``) and denominators (diagonal ``d``) follow rank-1 updates,
+one BLAS matrix-vector product against the original ``K`` per pick.
+That arithmetic reassociates the reference loop's (an ``einsum`` over
+the deflated ``K``, then an in-place rewrite of it), so an incremental
+pick is accepted only under a margin certificate: with error budgets
+``e_n``/``e_d`` on ``cn``/``d``, the pick's lower score bound must beat
+every other candidate's upper bound.  When it does not, the reference
+deflated kernel is rebuilt (lazily, replaying only the picks not yet
+applied) and the reference pick is taken from it.  Every pick therefore
+equals the reference loop's; see docs/PERFORMANCE.md, "Certified
+incremental TED".
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
 
 from repro.utils.mathx import pairwise_sq_dists
 
-#: the selection back-ends accepted by :func:`ted_select`
-TED_METHODS = ("exact", "fast")
+#: error budget of the incremental ``cn``/``d``, as a fraction of their
+#: largest initial entry (measured errors stay below 1e-14 of it)
+ERROR_BUDGET = 1e-9
 
 
 def rbf_kernel(
@@ -73,7 +73,9 @@ def rbf_kernel(
             bandwidth = float(np.sqrt(np.median(positive)))
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    return np.exp(-sq / (2.0 * bandwidth * bandwidth))
+    # exp(-sq / 2b^2) in place; (-x)/c and x/(-c) round alike
+    sq /= -(2.0 * bandwidth * bandwidth)
+    return np.exp(sq, out=sq)
 
 
 def ted_select(
@@ -81,92 +83,102 @@ def ted_select(
     m: int,
     mu: float = 0.1,
     bandwidth: Optional[float] = None,
-    method: str = "exact",
 ) -> List[int]:
     """Select ``m`` diverse, representative rows of ``features``.
 
     Returns the selected row indices in pick order.  This is Algorithm 1
     (``TED(V, mu, m)``) with the kernel built by :func:`rbf_kernel`.
 
-    ``m`` is clipped to ``len(features)``; ``mu`` is the regularization
-    coefficient (paper uses 0.1).  ``method`` picks the back-end (see
-    the module docstring); ``"fast"`` needs ``mu > 0`` and falls back
-    to ``"exact"`` otherwise.
+    ``m`` is clipped to ``len(features)``; ``mu`` is the (positive)
+    regularization coefficient; the paper uses 0.1.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
-    if method not in TED_METHODS:
-        raise ValueError(f"method must be one of {TED_METHODS}")
     n = len(features)
     if n == 0:
         return []
     if m <= 0:
         raise ValueError("m must be positive")
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    m = min(m, n)
-
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     K = rbf_kernel(features, bandwidth=bandwidth)
-    if method == "fast" and mu > 0:
-        return _ted_select_fast(K, m, mu)
-    return _ted_select_exact(K, m, mu)
+    return _ted_greedy(K, min(m, n), mu)
 
 
-def _ted_select_exact(K: np.ndarray, m: int, mu: float) -> List[int]:
-    """The pre-optimization greedy loop (reference implementation)."""
-    n = len(K)
-    selected: List[int] = []
-    available = np.ones(n, dtype=bool)
-    for _ in range(m):
-        col_norms = np.einsum("ij,ij->j", K, K)
-        scores = col_norms / (np.diag(K) + mu)
-        scores = np.where(available, scores, -np.inf)
-        x = int(np.argmax(scores))
-        selected.append(x)
-        available[x] = False
+def _replay(K: np.ndarray, picks: List[int], mu: float) -> None:
+    """Apply the reference deflation of ``picks``, in order, to ``K``."""
+    for x in picks:
         kx = K[:, x].copy()
         K -= np.outer(kx, kx) / (kx[x] + mu)
-    return selected
 
 
-def _ted_select_fast(K: np.ndarray, m: int, mu: float) -> List[int]:
-    """Incremental greedy TED: rank-1 norm updates, ``K`` never rewritten.
+def _certified(
+    cn: np.ndarray, d: np.ndarray, x: int, others: np.ndarray,
+    mu: float, e_n: float, e_d: float,
+) -> bool:
+    """True when ``x`` outscores every ``others`` under any in-budget error.
 
-    Maintains the deflated kernel implicitly as ``K - V V^T`` where the
-    ``t``-th column of ``V`` is ``kx_t / sqrt(kx_t[x_t] + mu)``.  The
-    score numerator (squared column norms) and denominator (diagonal)
-    are updated in O(n) per pick from
+    Fails closed: a NaN or infinite bound (which makes the sum of the
+    bounds non-finite), or a denominator that could reach zero, is
+    never certified.
+    """
+    low = (cn[x] - e_n) / (d[x] + mu + e_d)
+    if not math.isfinite(low):
+        return False
+    den = d[others] + mu - e_d
+    high = (cn[others] + e_n) / den
+    return den.size == 0 or bool(
+        den.min() > 0 and math.isfinite(high.sum()) and low > high.max()
+    )
 
-        ||K'_j||^2 = ||K_j||^2 - (2/c) kx_j (K kx)_j
-                     + (kx_j^2 / c^2) ||kx||^2
-        K'_jj      = K_jj - kx_j^2 / c
 
-    with ``(K kx)`` the only O(n^2) term — a single BLAS gemv against
-    the *original* kernel plus O(n t) corrections through ``V``.
+def _ted_greedy(K: np.ndarray, m: int, mu: float) -> List[int]:
+    """Greedy TED picks, equal to the reference loop's (module docstring).
+
+    ``V[:, t] = kx_t / sqrt(c_t)`` holds the deflation vectors, so the
+    current kernel is ``K - V V^T``.  With ``kx`` the current column of
+    pick ``x``, ``c = kx[x] + mu`` and ``tx = (K - V V^T) kx``:
+
+        cn_j <- cn_j - (2/c) kx_j tx_j + (kx_j^2 / c^2) ||kx||^2
+        d_j  <- d_j - kx_j^2 / c
     """
     n = len(K)
-    col_norms = np.einsum("ij,ij->j", K, K)
-    diag = np.diag(K).astype(np.float64, copy=True)
+    cn = np.einsum("ij,ij->j", K, K)
+    d = np.diag(K).copy()
+    e_n = ERROR_BUDGET * float(cn.max())
+    e_d = ERROR_BUDGET * float(d.max())
     V = np.empty((n, m))
+    exact: Optional[np.ndarray] = None  # reference kernel, on demand
+    applied = 0  # picks already deflated out of ``exact``
     selected: List[int] = []
     available = np.ones(n, dtype=bool)
     for t in range(m):
-        scores = col_norms / (diag + mu)
+        scores = cn / (d + mu)
         scores[~available] = -np.inf
         x = int(np.argmax(scores))
-        selected.append(x)
         available[x] = False
+        # pick 0 comes from the reference einsum itself
+        if t and not _certified(cn, d, x, available, mu, e_n, e_d):
+            if exact is None:
+                exact = K.copy()
+            _replay(exact, selected[applied:], mu)
+            applied = t
+            cn = np.einsum("ij,ij->j", exact, exact)
+            d = np.diag(exact).copy()
+            available[x] = True
+            scores = np.where(available, cn / (d + mu), -np.inf)
+            x = int(np.argmax(scores))
+            available[x] = False
+        selected.append(x)
         if t == m - 1:
             break  # the last pick needs no further deflation
         Vt = V[:, :t]
-        kx = K[:, x] - Vt @ Vt[x]  # deflated column of the current step
+        kx = K[:, x] - Vt @ Vt[x]
         c = kx[x] + mu
-        t_vec = K @ kx - Vt @ (Vt.T @ kx)  # current-kernel matvec
+        tx = K @ kx - Vt @ (Vt.T @ kx)
         kx_sq = kx * kx
-        col_norms -= (2.0 / c) * (kx * t_vec) - (
-            float(kx @ kx) / (c * c)
-        ) * kx_sq
-        diag -= kx_sq / c
+        cn -= (2.0 / c) * (kx * tx) - (float(kx @ kx) / (c * c)) * kx_sq
+        d -= kx_sq / c
         V[:, t] = kx / np.sqrt(c)
     return selected

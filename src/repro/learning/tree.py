@@ -72,8 +72,7 @@ class RegressionTree:
     After :meth:`fit` the node list is flattened into parallel NumPy
     arrays (feature/threshold/left/right/value), so :meth:`predict`
     routes all rows level by level with pure array ops instead of a
-    per-node Python loop.  :meth:`predict_reference` keeps the original
-    per-node traversal for equivalence tests and benchmarks.
+    per-node Python loop.
     """
 
     def __init__(
@@ -248,43 +247,13 @@ class RegressionTree:
     # ------------------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict targets for rows of ``X`` (vectorized per level).
-
-        Bit-identical to :meth:`predict_reference`.
-        """
+        """Predict targets for rows of ``X`` (vectorized per level)."""
         if not self._nodes:
             raise RuntimeError("tree is not fitted")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
         return _route(self, X)
-
-    def predict_reference(self, X: np.ndarray) -> np.ndarray:
-        """Reference predict: the original per-node routing loop.
-
-        Preserved verbatim for property tests and the hot-path
-        benchmark suite; :meth:`predict` must match it element-wise.
-        """
-        if not self._nodes:
-            raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        out = np.empty(X.shape[0])
-        active = np.zeros(X.shape[0], dtype=np.int64)  # current node per row
-        done = np.zeros(X.shape[0], dtype=bool)
-        while not done.all():
-            for node_id in np.unique(active[~done]):
-                node = self._nodes[node_id]
-                rows = np.nonzero((active == node_id) & ~done)[0]
-                if node.is_leaf:
-                    out[rows] = node.value
-                    done[rows] = True
-                else:
-                    go_left = X[rows, node.feature] <= node.threshold
-                    active[rows[go_left]] = node.left
-                    active[rows[~go_left]] = node.right
-        return out
 
     @property
     def node_count(self) -> int:

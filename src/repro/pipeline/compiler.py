@@ -776,7 +776,7 @@ class DeploymentCompiler:
             key = self._task_key(spec)
             result = fleet_result.results[key]
             results[spec.task_id] = result
-            best_configs[spec.task_id] = result.best_index
+            best_configs[spec.task_id] = self._deployable(spec, result)
             collect_name = "tlog" if key in served_by_key else tuner_name
             self._collect(spec, result, collect_name, record_store, progress)
         if tlog_db is not None:
@@ -845,18 +845,38 @@ class DeploymentCompiler:
         )
         return max(compute, memory) + self.device.launch_overhead_s
 
+    def _deployable(
+        self, spec: TaskSpec, result: TuningResult
+    ) -> Optional[int]:
+        """Best-GFLOPS measured config valid on this compiler's device
+        (a fleet task is measured on its home device)."""
+        task = self.simulated_task(spec)
+        for rec in sorted(result.records, key=lambda r: -r.gflops):
+            index = rec.config_index
+            if rec.gflops > 0 and np.isfinite(task.true_time_s(index)):
+                return index
+        return result.best_index
+
     def _spec_timing(
         self, spec: TaskSpec, index: Optional[int]
     ) -> Tuple[float, float]:
-        """(kernel time, noise sigma) for one tuned task variant."""
-        if index is None:
-            time_s = self._default_time(
-                spec.workload.flops,
-                spec.workload.input_bytes + spec.workload.output_bytes,
+        """(kernel time, noise sigma) for one tuned task variant; the
+        default schedule's when ``index`` is None or invalid here."""
+        if index is not None:
+            task = self.simulated_task(spec)
+            time_s = task.true_time_s(index)
+            if np.isfinite(time_s):
+                return time_s, task.noise_sigma(index)
+            logger.warning(
+                "%s T%d: config %d is invalid on %s; deploying the "
+                "default schedule", self.graph.name, spec.task_id + 1,
+                index, self.device.name,
             )
-            return time_s, 3 * _DEFAULT_KERNEL_SIGMA
-        task = self.simulated_task(spec)
-        return task.true_time_s(index), task.noise_sigma(index)
+        time_s = self._default_time(
+            spec.workload.flops,
+            spec.workload.input_bytes + spec.workload.output_bytes,
+        )
+        return time_s, 3 * _DEFAULT_KERNEL_SIGMA
 
     def _compile(
         self, best_configs: Dict[int, Optional[int]]

@@ -113,6 +113,10 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
-    sq = aa + bb - 2.0 * (a @ b.T)
+    # (aa + bb) - 2ab, in place: two n x m buffers live instead of four
+    ab = a @ b.T
+    ab *= 2.0
+    sq = aa + bb
+    sq -= ab
     np.maximum(sq, 0.0, out=sq)
     return sq

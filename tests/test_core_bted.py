@@ -64,6 +64,12 @@ class TestBtedSelect:
             bted_select(small_task.space, m=4, batch_candidates=8,
                         num_batches=0)
 
+    @pytest.mark.parametrize("mu", [0.0, -0.1])
+    def test_nonpositive_mu_rejected(self, small_task, mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            bted_select(small_task.space, m=4, batch_candidates=8,
+                        num_batches=1, mu=mu)
+
     def test_paper_settings_shape(self, small_task):
         """The exact Sec. V-A configuration: B=10 batches of M=500, m=64."""
         picked = bted_select(

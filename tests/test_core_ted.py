@@ -72,6 +72,13 @@ class TestTedSelect:
         with pytest.raises(ValueError):
             ted_select(np.ones(5), m=2)
 
+    @pytest.mark.parametrize("mu", [0.0, -1e-12])
+    def test_nonpositive_mu_rejected(self, mu):
+        # at mu=0 the deflated diagonal reaches 0 and scores turn NaN
+        X = np.round(np.random.default_rng(0).random((84, 2)), 1)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            ted_select(X, m=8, mu=mu)
+
     def test_picks_cluster_representatives(self):
         """Three tight clusters: the first three picks must cover all
         three clusters (the defining behaviour of TED)."""

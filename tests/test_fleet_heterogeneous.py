@@ -12,8 +12,12 @@ model and the tlog identity, and these tests pin that contract:
   and exact hits never cross classes;
 * checkpoints resume a mixed fleet to the uninterrupted result;
 * reports expose per-class scheduling (``by_class``) and per-device
-  fault seeds.
+  fault seeds;
+* a mixed fleet deploys only configs that run on the compile target.
 """
+
+import logging
+import math
 
 import pytest
 
@@ -124,6 +128,58 @@ class TestHomeDeviceMeasurement:
                 uninterrupted.tuning_results[task_id]
             )
         assert {p: p.stat().st_mtime_ns for p in done} == mtimes
+
+
+def _dw_model():
+    # the depthwise task (task 1) homes on the Titan V of
+    # "gtx1080ti,titanv"; at trial seed 1 its best config there is
+    # invalid on the GTX 1080 Ti compile target
+    b = GraphBuilder("hetero-dw")
+    b.input((1, 64, 56, 56))
+    b.conv2d("c1", 64, padding=(1, 1))
+    b.depthwise_conv2d("dw1", padding=(1, 1))
+    b.flatten("f")
+    b.dense("fc", 10)
+    return b.graph
+
+
+class TestMixedFleetDeploy:
+    def test_mixed_fleet_deploys_only_finite_kernels(self):
+        compiler = DeploymentCompiler(_dw_model(), env_seed=123)
+        compiled = compiler.tune(
+            "random", n_trial=16, early_stopping=None, trial_seed=1,
+            fleet="gtx1080ti,titanv", fleet_jobs=1,
+        )
+        dw = compiler.tasks[1]
+        home_best = compiled.tuning_results[dw.task_id].best_index
+        target = compiler.simulated_task(dw)
+        assert not math.isfinite(target.true_time_s(home_best))
+        assert all(math.isfinite(k.time_s) for k in compiled.kernels)
+        # the deployed depthwise kernel is a tuned config, not the
+        # default schedule
+        default = compiler._compile({dw.task_id: None})
+        name = dw.kernel_names[0]
+        times = [
+            {k.name: k.time_s for k in c.kernels}[name]
+            for c in (compiled, default)
+        ]
+        assert times[0] != times[1]
+
+    def test_invalid_config_falls_back_to_default_schedule(self, caplog):
+        compiler = DeploymentCompiler(_dw_model(), env_seed=123)
+        dw = compiler.tasks[1]
+        target = compiler.simulated_task(dw)
+        invalid = next(
+            i for i in range(len(target.space))
+            if not math.isfinite(target.true_time_s(i))
+        )
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            compiled = compiler._compile({dw.task_id: invalid})
+        default = compiler._compile({dw.task_id: None})
+        assert [k.time_s for k in compiled.kernels] == [
+            k.time_s for k in default.kernels
+        ]
+        assert any("invalid" in r.getMessage() for r in caplog.records)
 
 
 class TestTlogIdentity:

@@ -3,9 +3,8 @@
 Every optimization in the hot-path PR must be either bit-identical to
 the reference implementation it replaced (vectorized tree predict,
 boolean-mask kernel bandwidth, ``np.isin`` visited filtering,
-``FeatureCache``) or an explicitly opt-in fast path whose divergence is
-bounded by floating-point near-ties (incremental TED).  These tests
-check those contracts over random inputs.
+``FeatureCache``, certified incremental TED).  These tests check those
+contracts over random inputs.
 """
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import ted as ted_module
 from repro.core.bao import BaoOptimizer
 from repro.core.bootstrap import BootstrapEnsemble
 from repro.core.events import BatchMeasured, BatchProposed, EventLog
@@ -26,8 +26,11 @@ from repro.learning.tree import (
     bin_features,
 )
 from repro.nn.workloads import DenseWorkload
+from repro.nn.zoo import build_model
+from repro.pipeline.compiler import DeploymentCompiler
 from repro.space.space import FeatureCache
 from repro.utils.mathx import pairwise_sq_dists
+from tests.oracles import reference_ted_select, reference_tree_predict
 
 PROPERTY = settings(
     max_examples=25,
@@ -61,7 +64,7 @@ class TestTreePredictEquivalence:
         tree = RegressionTree(max_depth=max_depth, seed=0).fit(X, y)
         X_test = rng.random((n_test, d))
         fast = tree.predict(X_test)
-        ref = tree.predict_reference(X_test)
+        ref = reference_tree_predict(tree, X_test)
         assert fast.dtype == ref.dtype
         assert np.array_equal(fast, ref)
 
@@ -91,56 +94,67 @@ class TestTreePredictEquivalence:
         assert tree.depth <= max_depth
 
 
-def _exact_scores(K, picks, mu):
-    """Reference TED scores after deflating ``K`` by ``picks`` in order."""
-    K = K.copy()
-    for x in picks:
-        kx = K[:, x]
-        K = K - np.outer(kx, kx) / (kx[x] + mu)
-    col_norms = np.einsum("ij,ij->j", K, K)
-    return col_norms / (np.diag(K) + mu)
+def _adversarial_features(seed, n, d, duplicate, rounded, constant):
+    """Random features with the structures that make TED scores tie."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    if rounded:
+        X = np.round(X, 1)
+    if constant:
+        X[:, 0] = 0.5
+    if duplicate and n > 1:
+        k = max(1, n // 3)
+        X[k:] = X[rng.integers(0, k, size=n - k)]
+    return X
 
 
-class TestTedFastEquivalence:
+def _fallback_spy(monkeypatch):
+    """Count calls of the exact fallback of the certified TED loop."""
+    calls = []
+    replay = ted_module._replay
+
+    def spy(K, picks, mu):
+        calls.append(len(picks))
+        replay(K, picks, mu)
+
+    monkeypatch.setattr(ted_module, "_replay", spy)
+    return calls
+
+
+class TestTedCertifiedEquivalence:
     @given(
         seed=st.integers(0, 10**6),
-        n=st.integers(8, 120),
-        d=st.integers(1, 6),
-        m=st.integers(1, 16),
-        mu=st.floats(1e-3, 10.0),
+        n=st.integers(1, 200),
+        d=st.integers(1, 8),
+        m_frac=st.floats(0.0, 1.0),
+        log_mu=st.floats(-8.0, 1.0),
+        duplicate=st.booleans(),
+        rounded=st.booleans(),
+        constant=st.booleans(),
     )
-    @PROPERTY
-    def test_fast_matches_exact_or_diverges_on_near_tie(
-        self, seed, n, d, m, mu
+    @settings(PROPERTY, max_examples=60)
+    def test_matches_exact_oracle(
+        self, seed, n, d, m_frac, log_mu, duplicate, rounded, constant
     ):
-        rng = np.random.default_rng(seed)
-        features = rng.random((n, d))
-        m = min(m, n)
-        exact = ted_select(features, m=m, mu=mu, method="exact")
-        fast = ted_select(features, m=m, mu=mu, method="fast")
-        assert len(fast) == len(exact) == m
-        assert len(set(fast)) == m
-        if fast == exact:
-            return
-        # the first divergence must be a floating-point near-tie: the
-        # exact-path scores of the two picks agree to ~1e-9 relative
-        step = next(i for i, (a, b) in enumerate(zip(exact, fast)) if a != b)
-        K = rbf_kernel(features)
-        scores = _exact_scores(K, exact[:step], mu)
-        gap = abs(scores[exact[step]] - scores[fast[step]])
-        tol = 1e-9 * max(1.0, abs(scores[exact[step]]))
-        assert gap <= tol, f"fast TED diverged on a non-tie (gap={gap})"
+        X = _adversarial_features(seed, n, d, duplicate, rounded, constant)
+        m = max(1, round(m_frac * n))
+        mu = 10.0 ** log_mu
+        assert ted_select(X, m, mu=mu) == reference_ted_select(X, m, mu=mu)
 
-    def test_fast_falls_back_to_exact_for_nonpositive_mu(self):
-        rng = np.random.default_rng(0)
-        features = rng.random((40, 4))
-        assert ted_select(features, m=8, mu=0.0, method="fast") == ted_select(
-            features, m=8, mu=0.0, method="exact"
-        )
+    def test_duplicated_rows_take_the_fallback(self, monkeypatch):
+        calls = _fallback_spy(monkeypatch)
+        X = _adversarial_features(4, 90, 3, True, True, False)
+        picks = ted_select(X, m=40, mu=1e-3)
+        assert calls, "exact ties must fail the certificate"
+        assert picks == reference_ted_select(X, m=40, mu=1e-3)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            ted_select(np.ones((4, 2)), m=2, method="bogus")
+    def test_mobilenet_batch_takes_no_fallback(self, monkeypatch):
+        compiler = DeploymentCompiler(build_model("mobilenet-v1"))
+        space = compiler.simulated_task(compiler.tasks[2]).space
+        X = space.feature_matrix(space.sample(500, seed=0))
+        calls = _fallback_spy(monkeypatch)
+        assert ted_select(X, m=64) == reference_ted_select(X, m=64)
+        assert calls == []
 
 
 class TestKernelBandwidthEquivalence:
@@ -149,16 +163,21 @@ class TestKernelBandwidthEquivalence:
     def test_median_bandwidth_matches_triu_reference(self, seed, n):
         rng = np.random.default_rng(seed)
         X = rng.random((n, 3))
-        # reference: the pre-PR triu_indices median heuristic
-        sq = pairwise_sq_dists(X, X)
+        # reference: the out-of-place distance and kernel expressions
+        # and the triu_indices median heuristic they replaced
+        norms = np.sum(X * X, axis=1)
+        sq = np.maximum(
+            norms[:, None] + norms[None, :] - 2.0 * (X @ X.T), 0.0
+        )
+        assert np.array_equal(pairwise_sq_dists(X, X), sq)
         iu = np.triu_indices(n, k=1)
         positive = sq[iu][sq[iu] > 0]
         if positive.size == 0:
             return
         bandwidth = float(np.sqrt(np.median(positive)))
-        assert np.array_equal(
-            rbf_kernel(X), rbf_kernel(X, bandwidth=bandwidth)
-        )
+        reference = np.exp(-sq / (2.0 * bandwidth * bandwidth))
+        assert np.array_equal(rbf_kernel(X), reference)
+        assert np.array_equal(rbf_kernel(X, bandwidth=bandwidth), reference)
 
 
 class TestFeatureCache:
